@@ -51,7 +51,6 @@ fn time_block<F: FnMut() -> String>(id: &str, samples: usize, mut f: F) -> (u128
         mean_ns: ns.iter().sum::<u128>() / ns.len() as u128,
         throughput: None,
         per_second: None,
-        batch_width: None,
     });
     println!("  {id}: median {:.1} ms", median as f64 / 1e6);
     (median, reference)
@@ -126,9 +125,6 @@ fn main() {
         ));
         if let Some(p) = r.per_second {
             json.push_str(&format!(", \"per_second\": {p:.1}"));
-        }
-        if let Some(w) = r.batch_width {
-            json.push_str(&format!(", \"batch_width\": {w}"));
         }
         json.push_str(if i + 1 == recs.len() { "}\n" } else { "},\n" });
     }

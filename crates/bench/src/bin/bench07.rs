@@ -1,5 +1,5 @@
-//! The `BENCH_07` harness: big-mesh engine scaling plus the lockstep
-//! batched executor against equivalent scalar runs.
+//! The `BENCH_07` harness: big-mesh engine scaling plus idle-cycle
+//! skipping against a plain cycle-by-cycle loop.
 //!
 //! Usage: `cargo run --release -p bench --bin bench07 [-- <out.json>]`
 //! (default output `BENCH_07.json`). `NOC_BENCH_SAMPLES` overrides the
@@ -10,18 +10,16 @@
 //! * `engine/router_cycles/{16x16,32x32}` — the scalar hot path on meshes
 //!   big enough that the struct-of-arrays credit core's layout, not loop
 //!   overhead, dominates (bench02 keeps the historical 4x4/8x8 points).
-//! * `engine/scalar8/{4x4,8x8}` vs `engine/batched/{4x4,8x8}` — eight
+//! * `engine/scalar8/{4x4,8x8}` vs `engine/skip8/{4x4,8x8}` — eight
 //!   bursty design points (same shape; routing, rate and seed differ) run
-//!   one-after-another the way the sweep runner's scalar path would,
-//!   against the same eight lanes in one [`LockstepBatch`]. Both legs are
-//!   single-threaded; the batched win comes from the shared per-cycle
-//!   skeleton plus batch-default idle-cycle skipping across the burst
-//!   gaps. The harness asserts the two legs' statistics are byte-identical
-//!   — the determinism gate rides along with every bench run.
+//!   one after another, skip off (a `Sim::step` loop) against skip on
+//!   (`Sim::run`, which skips idle cycles). Both legs are single-threaded.
+//!   The harness asserts the two legs' statistics are byte-identical — the
+//!   determinism gate rides along with every bench run.
 
 use criterion::{record_extra, records, BenchRecord};
 use noc_baselines::escape_vc_config;
-use noc_sim::{LockstepBatch, NoMechanism, Sim};
+use noc_sim::{NoMechanism, Sim};
 use noc_traffic::{BurstWorkload, SyntheticWorkload, TrafficPattern};
 use noc_types::{BaseRouting, NetConfig, RoutingAlgo};
 use std::time::Instant;
@@ -29,15 +27,15 @@ use std::time::Instant;
 /// Timed iterations per measurement.
 const SAMPLES: usize = 3;
 
-/// Lanes per batch — the acceptance comparison is 8-wide.
-const WIDTH: usize = 8;
+/// Design points in the skip-off/skip-on comparison.
+const LANES: usize = 8;
 
-/// Cycles per lane in the batched/scalar comparison. Bursts of 32 cycles
-/// every 4096 make the inter-burst gap dominate scalar wall time: busy
+/// Cycles per lane in the skip-off/skip-on comparison. Bursts of 32 cycles
+/// every 4096 make the inter-burst gap dominate stepped wall time: busy
 /// cycles cost ~30x an idle cycle here, so gap-dominated traffic is the
 /// regime where idle skipping pays (steady saturating traffic would be
 /// Amdahl-capped near 1.0x and is covered by the `router_cycles` leg).
-const BATCH_CYCLES: u64 = 32_768;
+const LANE_CYCLES: u64 = 32_768;
 const BURST_PERIOD: u64 = 4_096;
 const BURST_LEN: u64 = 32;
 
@@ -55,7 +53,6 @@ fn time_block<F: FnMut() -> String>(
     id: &str,
     samples: usize,
     elements: u64,
-    batch_width: usize,
     mut f: F,
 ) -> (u128, String) {
     let reference = f();
@@ -77,7 +74,6 @@ fn time_block<F: FnMut() -> String>(
         mean_ns: ns.iter().sum::<u128>() / ns.len() as u128,
         throughput: Some(elements),
         per_second: Some(per_second),
-        batch_width: Some(batch_width),
     });
     println!(
         "  {id}: median {:.1} ms, {per_second:.0} node-cycles/s",
@@ -102,9 +98,8 @@ fn engine_sim(k: u8, rate: f64, seed: u64) -> Sim {
     Sim::new(cfg, Box::new(wl), Box::new(NoMechanism))
 }
 
-/// Lane `i` of the batched comparison: same shape for every `i`, but the
-/// routing relation, offered load and seeds differ — the mixed-scheme
-/// batch the sweep runner produces.
+/// Lane `i` of the skip comparison: same shape for every `i`, but the
+/// routing relation, offered load and seeds differ — a mixed-scheme sweep.
 fn burst_lane(k: u8, i: usize) -> Sim {
     let seed = 0xB07_u64 + 97 * i as u64;
     let rate = [0.10, 0.12, 0.15][i % 3];
@@ -149,7 +144,6 @@ fn main() {
             &format!("engine/router_cycles/{k}x{k}"),
             samples,
             cycles * nodes,
-            1,
             || {
                 let mut sim = engine_sim(k, rate, 0xA11CE);
                 sim.run(cycles);
@@ -158,55 +152,57 @@ fn main() {
         );
     }
 
-    // Leg 2: 8 scalar runs vs one 8-wide lockstep batch, same points.
+    // Leg 2: the same 8 lanes stepped every cycle vs run with skipping.
     let mut speedups = Vec::new();
     for k in [4u8, 8] {
-        println!("batched executor, {WIDTH} lanes of {k}x{k} bursty traffic");
+        println!("idle-cycle skipping, {LANES} lanes of {k}x{k} bursty traffic");
         let nodes = u64::from(k) * u64::from(k);
-        let elements = BATCH_CYCLES * nodes * WIDTH as u64;
-        let scalar = || {
-            (0..WIDTH)
+        let elements = LANE_CYCLES * nodes * LANES as u64;
+        let stepped = || {
+            (0..LANES)
                 .map(|i| {
                     let mut sim = burst_lane(k, i);
-                    sim.run(BATCH_CYCLES);
+                    for _ in 0..LANE_CYCLES {
+                        sim.step();
+                    }
                     format!("{:?}\n", sim.finish())
                 })
                 .collect::<String>()
         };
-        let batched = || {
-            let mut batch = LockstepBatch::new((0..WIDTH).map(|i| burst_lane(k, i)).collect());
-            batch.run(BATCH_CYCLES);
-            let skipped: u64 = batch.lanes().iter().map(|l| l.skipped_cycles).sum();
+        let skipping = || {
+            let mut skipped = 0;
+            let out = (0..LANES)
+                .map(|i| {
+                    let mut sim = burst_lane(k, i);
+                    sim.run(LANE_CYCLES);
+                    skipped += sim.skipped_cycles;
+                    format!("{:?}\n", sim.finish())
+                })
+                .collect::<String>();
             println!(
-                "    (batched leg skipped {:.1}% of lane-cycles)",
-                100.0 * skipped as f64 / (BATCH_CYCLES * WIDTH as u64) as f64
+                "    (skip-on leg skipped {:.1}% of lane-cycles)",
+                100.0 * skipped as f64 / (LANE_CYCLES * LANES as u64) as f64
             );
-            batch
-                .finish()
-                .iter()
-                .map(|s| format!("{s:?}\n"))
-                .collect::<String>()
+            out
         };
-        let (scalar_ns, scalar_out) = time_block(
+        let (step_ns, step_out) = time_block(
             &format!("engine/scalar8/{k}x{k}"),
             samples,
             elements,
-            1,
-            scalar,
+            stepped,
         );
-        let (batch_ns, batch_out) = time_block(
-            &format!("engine/batched/{k}x{k}"),
+        let (skip_ns, skip_out) = time_block(
+            &format!("engine/skip8/{k}x{k}"),
             samples,
             elements,
-            WIDTH,
-            batched,
+            skipping,
         );
         assert_eq!(
-            scalar_out, batch_out,
-            "lockstep batch diverged from scalar lanes at {k}x{k}"
+            step_out, skip_out,
+            "idle-cycle skipping diverged from the stepped lanes at {k}x{k}"
         );
-        let speedup = scalar_ns as f64 / batch_ns as f64;
-        println!("  batched speedup x{speedup:.2} at {k}x{k} (single thread)");
+        let speedup = step_ns as f64 / skip_ns as f64;
+        println!("  skip speedup x{speedup:.2} at {k}x{k} (single thread)");
         speedups.push((k, speedup));
     }
 
@@ -215,11 +211,11 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"report\": \"BENCH_07\",\n");
     json.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    json.push_str(&format!("  \"batch_width\": {WIDTH},\n"));
+    json.push_str(&format!("  \"lanes\": {LANES},\n"));
     for (k, s) in &speedups {
-        json.push_str(&format!("  \"batched_speedup_{k}x{k}\": {s:.3},\n"));
+        json.push_str(&format!("  \"skip_speedup_{k}x{k}\": {s:.3},\n"));
     }
-    json.push_str("  \"batched_deterministic\": true,\n");
+    json.push_str("  \"skip_deterministic\": true,\n");
     json.push_str("  \"benches\": [\n");
     for (i, r) in recs.iter().enumerate() {
         json.push_str(&format!(
@@ -232,9 +228,6 @@ fn main() {
         }
         if let Some(p) = r.per_second {
             json.push_str(&format!(", \"per_second\": {p:.1}"));
-        }
-        if let Some(w) = r.batch_width {
-            json.push_str(&format!(", \"batch_width\": {w}"));
         }
         json.push_str(if i + 1 == recs.len() { "}\n" } else { "},\n" });
     }

@@ -43,10 +43,6 @@ pub struct BenchRecord {
     pub throughput: Option<u64>,
     /// Elements per second derived from the median, when annotated.
     pub per_second: Option<f64>,
-    /// Lockstep lanes driven per iteration, when the measured kernel is a
-    /// batched executor (`None` for ordinary scalar benches; `Some(1)`
-    /// marks an explicitly scalar leg of a batched comparison).
-    pub batch_width: Option<usize>,
 }
 
 fn registry() -> &'static Mutex<Vec<BenchRecord>> {
@@ -94,9 +90,6 @@ pub fn render_json() -> String {
         }
         if let Some(p) = r.per_second {
             out.push_str(&format!(", \"per_second\": {p:.1}"));
-        }
-        if let Some(w) = r.batch_width {
-            out.push_str(&format!(", \"batch_width\": {w}"));
         }
         out.push_str(if i + 1 == recs.len() { "}\n" } else { "},\n" });
     }
@@ -228,7 +221,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(
         mean_ns: mean.as_nanos(),
         throughput: elems,
         per_second,
-        batch_width: None,
     });
 }
 

@@ -52,8 +52,8 @@ struct PoolState {
 
 static POOL: OnceLock<Mutex<PoolState>> = OnceLock::new();
 
-/// Validates a positive-count environment value (`NOC_THREADS`-style knob;
-/// also reused for `NOC_BATCH_WIDTH`).
+/// Validates a positive-count environment value (a `NOC_THREADS`-style
+/// knob).
 ///
 /// `Ok(None)` when the variable is unset or empty (empty means "use the
 /// default", so `NOC_THREADS= cmd` behaves like an unset variable). Any
@@ -68,7 +68,7 @@ pub fn parse_threads_env(name: &str, val: Option<&str>) -> Result<Option<usize>,
     match t.parse::<usize>() {
         Ok(0) => Err(format!(
             "{name}={raw:?}: count must be at least 1 (use 1 to disable \
-             parallelism or batching, or unset the variable for the default)"
+             parallelism, or unset the variable for the default)"
         )),
         Ok(n) => Ok(Some(n)),
         Err(_) => Err(format!(

@@ -16,9 +16,8 @@
 //! Exit status 0 when every combination converges; 1 when any diverged (a
 //! `repro_<side>_site<N>_<kind>.json` with the exact
 //! `NOC_NET_FAULT_SCHEDULE` lands in the output directory); 2 on bad
-//! flags or environment (`NOC_THREADS`, `NOC_BATCH_WIDTH`,
-//! `NOC_VFS_FAULT_*`, `NOC_NET_FAULT_*` are validated eagerly, before any
-//! socket opens).
+//! flags or environment (`NOC_THREADS`, `NOC_VFS_FAULT_*`,
+//! `NOC_NET_FAULT_*` are validated eagerly, before any socket opens).
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -28,10 +27,6 @@ use noc_client::soak::run_network_chaos;
 fn main() {
     // Eager validation, before any listener binds or socket connects.
     if let Err(e) = rayon::env_threads() {
-        eprintln!("error: {e}");
-        exit(2);
-    }
-    if let Err(e) = noc_experiments::sweep::env_batch_width() {
         eprintln!("error: {e}");
         exit(2);
     }

@@ -122,7 +122,6 @@ impl TestServer {
         opts.queue_cap = 8;
         opts.retry_base_ms = 5;
         opts.max_attempts = 3;
-        opts.batch_width = 1;
         let service = Arc::new(Service::open(opts)?);
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();

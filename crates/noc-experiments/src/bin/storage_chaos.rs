@@ -16,8 +16,8 @@
 //! Exit status 0 when every combination recovers identically; 1 when any
 //! diverged (a `repro_site<N>_<kind>.json` with the exact
 //! `NOC_VFS_FAULT_SCHEDULE` lands in the output directory); 2 on bad
-//! flags or environment (`NOC_THREADS`, `NOC_BATCH_WIDTH`,
-//! `NOC_VFS_FAULT_*` are validated eagerly).
+//! flags or environment (`NOC_THREADS` and `NOC_VFS_FAULT_*` are
+//! validated eagerly).
 
 use noc_experiments::cli;
 use noc_experiments::storage_chaos::run_storage_chaos;

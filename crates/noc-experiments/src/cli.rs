@@ -17,17 +17,6 @@
 /// the override is visible. `--threads 1` forces strictly sequential sweeps.
 /// Results are identical for any thread count — the executor only changes
 /// wall-clock time.
-/// Batch-width precedence (documented, never silent), mirroring the thread
-/// knob:
-///
-/// 1. an explicit width passed to `run_sweep_with_width` wins;
-/// 2. otherwise the `NOC_BATCH_WIDTH` environment variable;
-/// 3. otherwise the default width (4 lanes).
-///
-/// Like `NOC_THREADS`, the variable is validated *eagerly* on startup:
-/// `NOC_BATCH_WIDTH=0` or a non-numeric value aborts with exit status 2
-/// instead of silently falling back to the default mid-run. Results are
-/// identical for any width — batching only changes wall-clock time.
 ///
 /// The storage-fault knobs are validated the same way (see
 /// [`validate_vfs_env`]): `NOC_VFS_FAULT_SCHEDULE` must be a well-formed
@@ -49,10 +38,6 @@ pub fn args() -> Vec<String> {
             std::process::exit(2);
         }
     };
-    if let Err(e) = crate::sweep::env_batch_width() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     if let Err(e) = validate_vfs_env() {
         eprintln!("error: {e}");
         std::process::exit(2);

@@ -108,10 +108,6 @@ pub enum SimJob {
     Sweep {
         points: Vec<FaultPoint>,
         ckpt: PathBuf,
-        /// Lockstep batch width (explicit here so jobs do not race on the
-        /// process environment; the service resolves `NOC_BATCH_WIDTH`
-        /// once at startup).
-        width: usize,
     },
     /// Generate and run `cases` chaos cases from `seed`, logging one row
     /// per case to `log`; failing cases additionally write a repro file
@@ -142,11 +138,7 @@ impl SimJob {
     /// firing is observed at a unit boundary.
     pub fn run(&self, ctx: &JobCtx<'_>) -> Result<JobReport, JobError> {
         match self {
-            SimJob::Sweep {
-                points,
-                ckpt,
-                width,
-            } => run_sweep_job(points, ckpt, *width, ctx),
+            SimJob::Sweep { points, ckpt } => run_sweep_job(points, ckpt, ctx),
             SimJob::Chaos {
                 seed,
                 cases,
@@ -165,7 +157,6 @@ fn interrupted(token: &rayon::CancelToken) -> JobError {
 fn run_sweep_job(
     points: &[FaultPoint],
     ckpt_path: &Path,
-    width: usize,
     ctx: &JobCtx<'_>,
 ) -> Result<JobReport, JobError> {
     let ckpt = Checkpoint::open_with_vfs(ckpt_path, ctx.vfs())
@@ -183,7 +174,7 @@ fn run_sweep_job(
         cancel: ctx.cancel,
         progress: Some(&forward),
     };
-    let o = run_sweep_ctx(points, &ckpt, None, ctx.dump_dir, width, Some(&sctx));
+    let o = run_sweep_ctx(points, &ckpt, None, ctx.dump_dir, Some(&sctx));
     // A journal that stopped persisting parks the job as interrupted —
     // completed rows are safe, missing points re-execute on resume — and
     // the reason is storage, NOT the shared cancel token: latching that
@@ -379,7 +370,6 @@ mod tests {
                 quick_point(Scheme::mseec(), 0.0),
             ],
             ckpt: ckpt.clone(),
-            width: 2,
         };
         assert_eq!(job.total_units(), 2);
         let token = rayon::CancelToken::new();
@@ -407,7 +397,6 @@ mod tests {
         let job = SimJob::Sweep {
             points: vec![quick_point(Scheme::seec(), 0.0)],
             ckpt: dir.join("c.ckpt.jsonl"),
-            width: 1,
         };
         let token = rayon::CancelToken::new();
         token.cancel();

@@ -49,7 +49,7 @@ fn run_workload(vfs: &Arc<dyn Vfs>, dir: &Path) {
         return; // open itself faulted: the "crashed before doing anything" case
     };
     let points = workload_points();
-    let _ = run_sweep_ctx(&points, &ckpt, None, dir, 1, None);
+    let _ = run_sweep_ctx(&points, &ckpt, None, dir, None);
     // The whole-file artifact: content depends only on the final row set,
     // so an uninterrupted run and a resumed run publish identical bytes.
     let rows = sorted_payloads(vfs, &dir.join("storage.ckpt.jsonl"));

@@ -21,7 +21,7 @@
 
 use crate::jsonio::{self, JsonObj};
 use crate::runner::Scheme;
-use noc_sim::{watchdog, LockstepBatch, ShapeKey, Sim};
+use noc_sim::{watchdog, Sim};
 use noc_traffic::{SyntheticWorkload, TrafficPattern};
 use noc_types::fault::fnv1a;
 use noc_types::{FaultConfig, NetConfig, RecoveryConfig, SchemeKind};
@@ -33,43 +33,6 @@ use std::sync::{Arc, Mutex};
 /// Cycles between watchdog samples while a point runs. Small enough to
 /// catch a wedge promptly, large enough to be free next to the simulation.
 const WATCHDOG_PERIOD: u64 = 256;
-
-/// Default lockstep batch width: how many shape-compatible points one rayon
-/// task drives through a shared [`LockstepBatch`]. Overridden by the
-/// `NOC_BATCH_WIDTH` environment variable; `1` disables batching (every
-/// point runs the scalar path, exactly the pre-batching runner).
-const DEFAULT_BATCH_WIDTH: usize = 4;
-
-/// Reads and validates `NOC_BATCH_WIDTH` with the same rules as
-/// `NOC_THREADS`: unset/empty means "use the default" (`Ok(None)`); any
-/// non-empty value must be an integer ≥ 1, and `0` or garbage is an
-/// **error**, never a silent fallback. Binaries validate this eagerly at
-/// startup via [`crate::cli::args`] (exit status 2 on a bad value), and
-/// `noc-serve` refuses to boot on one.
-///
-/// Width precedence (documented, never silent):
-///
-/// 1. an explicit width passed through [`run_sweep_with_width`] (tests and
-///    the job service) wins;
-/// 2. otherwise the `NOC_BATCH_WIDTH` environment variable;
-/// 3. otherwise [`DEFAULT_BATCH_WIDTH`]. `1` disables batching.
-pub fn env_batch_width() -> Result<Option<usize>, String> {
-    rayon::parse_threads_env(
-        "NOC_BATCH_WIDTH",
-        std::env::var("NOC_BATCH_WIDTH").ok().as_deref(),
-    )
-}
-
-/// The effective batch width for [`run_sweep`]: `NOC_BATCH_WIDTH` when
-/// set, else [`DEFAULT_BATCH_WIDTH`]. Panics (loudly, with the validation
-/// message) on a garbage value — binaries catch that case before any work
-/// starts by validating in [`crate::cli::args`].
-fn batch_width() -> usize {
-    match env_batch_width() {
-        Ok(w) => w.unwrap_or(DEFAULT_BATCH_WIDTH),
-        Err(e) => panic!("invalid batch configuration: {e}"),
-    }
-}
 
 /// One datapoint of a fault sweep.
 #[derive(Clone, Debug)]
@@ -434,7 +397,7 @@ enum PointRun {
     Interrupted,
 }
 
-/// The certification gate shared by the scalar and batched paths. Returns
+/// The certification gate applied before a point simulates. Returns
 /// `Some` when the point must not be simulated; the payload goes into the
 /// checkpoint row verbatim.
 ///
@@ -502,16 +465,6 @@ fn gate_point(p: &FaultPoint, cfg: &NetConfig) -> Option<(&'static str, String)>
     None
 }
 
-/// Builds the simulation for a gated point — identical construction on the
-/// scalar and batched paths, so their results are too.
-fn build_point_sim(p: &FaultPoint, cfg: NetConfig) -> Sim {
-    let wl = SyntheticWorkload::new(p.pattern, p.rate, cfg.cols, cfg.rows, cfg.warmup, p.seed);
-    let mech = p.scheme.mechanism(&cfg);
-    let mut sim = Sim::new(cfg, Box::new(wl), mech);
-    sim.net.enable_flight_recorder(64);
-    sim
-}
-
 /// Escalates a wedged simulation: captures the black-box dump and panics
 /// with its path (the isolation layer turns this into a failed row).
 fn escalate_wedge(p: &FaultPoint, sim: &Sim, dump_dir: &Path) -> ! {
@@ -553,7 +506,10 @@ fn execute_point(p: &FaultPoint, dump_dir: &Path, ctx: Option<&SweepCtx>) -> Poi
     if let Some((status, reason)) = gate_point(p, &cfg) {
         return PointRun::Skipped { status, reason };
     }
-    let mut sim = build_point_sim(p, cfg);
+    let wl = SyntheticWorkload::new(p.pattern, p.rate, cfg.cols, cfg.rows, cfg.warmup, p.seed);
+    let mech = p.scheme.mechanism(&cfg);
+    let mut sim = Sim::new(cfg, Box::new(wl), mech);
+    sim.net.enable_flight_recorder(64);
 
     // Run in watchdog-sized slices; escalate a sustained stall to a
     // black-box dump + panic instead of spinning to the cycle budget.
@@ -666,118 +622,6 @@ fn run_isolated(p: &FaultPoint, dump_dir: &Path, ctx: Option<&SweepCtx>) -> Opti
     }
 }
 
-/// Partitions `todo` into lockstep-compatible chunks of at most `width`
-/// points: equal [`ShapeKey`] (the structural config fields the batch
-/// executor shares) and equal cycle budget (so one watchdog-sliced loop
-/// drives the whole chunk). Width 1 degenerates to one chunk per point —
-/// the scalar runner.
-fn chunk_compatible<'a>(todo: &[&'a FaultPoint], width: usize) -> Vec<Vec<&'a FaultPoint>> {
-    if width <= 1 {
-        return todo.iter().map(|p| vec![*p]).collect();
-    }
-    let mut groups: BTreeMap<(u64, u64), Vec<&FaultPoint>> = BTreeMap::new();
-    for &p in todo {
-        let key = (ShapeKey::of(&p.config()).digest(), p.cycles);
-        groups.entry(key).or_default().push(p);
-    }
-    groups
-        .into_values()
-        .flat_map(|g| {
-            g.chunks(width)
-                .map(<[&FaultPoint]>::to_vec)
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
-/// Executes a compatible chunk through one [`LockstepBatch`]. Gated points
-/// become status rows without a lane; the rest run in lockstep under the
-/// same watchdog slicing as the scalar path. May panic (a wedged lane, a
-/// simulator bug) — the caller falls back to per-point isolation, which
-/// reproduces the scalar outcome for every point in the chunk. A fired
-/// cancellation token abandons every in-flight lane (`None` entries — no
-/// rows; the points stay missing).
-fn execute_chunk_batched(
-    chunk: &[&FaultPoint],
-    dump_dir: &Path,
-    ctx: Option<&SweepCtx>,
-) -> Vec<Option<(String, bool)>> {
-    let mut rows: Vec<Option<(String, bool)>> = (0..chunk.len()).map(|_| None).collect();
-    let mut lanes = Vec::new();
-    let mut lane_points = Vec::new();
-    for (i, p) in chunk.iter().enumerate() {
-        assert!(
-            !p.scheme.is_deflection(),
-            "fault sweeps drive VC-router schemes only"
-        );
-        let cfg = p.config();
-        match gate_point(p, &cfg) {
-            Some((status, reason)) => rows[i] = Some((render_status(p, status, &reason), false)),
-            None => {
-                lanes.push(build_point_sim(p, cfg));
-                lane_points.push(i);
-            }
-        }
-    }
-    if !lanes.is_empty() {
-        let mut batch = LockstepBatch::new(lanes);
-        let mut remaining = chunk[lane_points[0]].cycles;
-        while remaining > 0 {
-            if ctx.is_some_and(|c| c.cancel.is_cancelled()) {
-                return rows;
-            }
-            let slice = WATCHDOG_PERIOD.min(remaining);
-            batch.run(slice);
-            remaining -= slice;
-            for (lane, &i) in batch.lanes().iter().zip(&lane_points) {
-                if watchdog::looks_stuck(&lane.net, watchdog::DEFAULT_STUCK_THRESHOLD) {
-                    escalate_wedge(chunk[i], lane, dump_dir);
-                }
-            }
-        }
-        for (lane, &i) in batch.lanes_mut().iter_mut().zip(&lane_points) {
-            let stats = lane.finish().clone();
-            rows[i] = Some((render_done(chunk[i], &stats), false));
-        }
-    }
-    rows
-}
-
-/// Runs one chunk with the same isolation contract as [`run_isolated`]:
-/// any panic on the batched path demotes the whole chunk to per-point
-/// scalar execution, whose own retry/failed-row semantics then apply. The
-/// `NOC_SWEEP_PANIC_KEY` injection hook targets individual points, so a
-/// chunk containing a match routes through the scalar path up front.
-/// `None` entries are points abandoned by cancellation.
-fn run_chunk(
-    chunk: &[&FaultPoint],
-    dump_dir: &Path,
-    ctx: Option<&SweepCtx>,
-) -> Vec<Option<(String, bool)>> {
-    let scalar = |chunk: &[&FaultPoint]| -> Vec<Option<(String, bool)>> {
-        chunk
-            .iter()
-            .map(|p| run_isolated(p, dump_dir, ctx))
-            .collect()
-    };
-    if chunk.len() == 1 {
-        return scalar(chunk);
-    }
-    if let Ok(needle) = std::env::var("NOC_SWEEP_PANIC_KEY") {
-        if !needle.is_empty()
-            && chunk
-                .iter()
-                .any(|p| p.ident().contains(&needle) || p.key().contains(&needle))
-        {
-            return scalar(chunk);
-        }
-    }
-    match rayon::catch_panic(|| execute_chunk_batched(chunk, dump_dir, ctx)) {
-        Ok(rows) => rows,
-        Err(_) => scalar(chunk),
-    }
-}
-
 /// Summary of one [`run_sweep`] invocation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepOutcome {
@@ -796,48 +640,31 @@ pub struct SweepOutcome {
 }
 
 /// Runs every point of `points` that the checkpoint does not already hold,
-/// recording each row as it completes. Missing points are first grouped
-/// into lockstep-compatible chunks ([`chunk_compatible`], width from
-/// `NOC_BATCH_WIDTH`), then the chunks execute in parallel — batching
-/// trades rayon fan-out granularity for the shared per-cycle skeleton, and
-/// per-lane results are byte-identical to scalar runs (the
-/// `batch_differential` test pins this). `max_points` caps how many
-/// missing points this invocation executes (the rest stay missing — the
-/// mechanism behind CI's interrupted-then-resumed sweep test).
+/// recording each row as it completes. Missing points execute in parallel,
+/// one point per task. `max_points` caps how many missing points this
+/// invocation executes (the rest stay missing — the mechanism behind CI's
+/// interrupted-then-resumed sweep test).
 pub fn run_sweep(
     points: &[FaultPoint],
     ckpt: &Checkpoint,
     max_points: Option<usize>,
     dump_dir: &Path,
 ) -> SweepOutcome {
-    run_sweep_with_width(points, ckpt, max_points, dump_dir, batch_width())
+    run_sweep_ctx(points, ckpt, max_points, dump_dir, None)
 }
 
-/// [`run_sweep`] with an explicit lockstep batch width (tests use this to
-/// avoid racing on the process environment).
-pub fn run_sweep_with_width(
-    points: &[FaultPoint],
-    ckpt: &Checkpoint,
-    max_points: Option<usize>,
-    dump_dir: &Path,
-    width: usize,
-) -> SweepOutcome {
-    run_sweep_ctx(points, ckpt, max_points, dump_dir, width, None)
-}
-
-/// The full-control entry point behind [`run_sweep`]: explicit lockstep
-/// width plus an optional [`SweepCtx`] carrying a cooperative cancellation
-/// token and a progress callback. This is what the `noc-serve` job service
-/// drives: cancellation (explicit or deadline) stops the sweep at point
-/// granularity — chunks not yet claimed never start, in-flight points are
-/// abandoned between watchdog slices without recording a row — and the
-/// progress callback fires after every recorded row.
+/// The full-control entry point behind [`run_sweep`]: an optional
+/// [`SweepCtx`] carrying a cooperative cancellation token and a progress
+/// callback. This is what the `noc-serve` job service drives: cancellation
+/// (explicit or deadline) stops the sweep at point granularity — points not
+/// yet claimed never start, in-flight points are abandoned between watchdog
+/// slices without recording a row — and the progress callback fires after
+/// every recorded row.
 pub fn run_sweep_ctx(
     points: &[FaultPoint],
     ckpt: &Checkpoint,
     max_points: Option<usize>,
     dump_dir: &Path,
-    width: usize,
     ctx: Option<&SweepCtx>,
 ) -> SweepOutcome {
     let todo: Vec<&FaultPoint> = points.iter().filter(|p| !ckpt.is_done(&p.key())).collect();
@@ -852,39 +679,36 @@ pub fn run_sweep_ctx(
     let failed = AtomicUsize::new(0);
     let recorded = AtomicUsize::new(0);
     let total = points.len();
-    let chunks = chunk_compatible(&todo, width);
     // A quiet local token keeps the cancellable executor on one code path
     // whether or not a context was supplied.
     let quiet = rayon::CancelToken::new();
     let token = ctx.map_or(&quiet, |c| c.cancel);
-    rayon::for_each_cancellable(chunks, token, |chunk: Vec<&FaultPoint>| {
-        // A journal that can no longer persist rows parks the sweep:
-        // chunks not yet started are abandoned (their points stay missing
-        // and re-execute once storage recovers) rather than simulated into
-        // rows that would be lost.
+    rayon::for_each_cancellable(todo, token, |p: &FaultPoint| {
+        // A journal that can no longer persist rows parks the sweep: points
+        // not yet started are abandoned (they stay missing and re-execute
+        // once storage recovers) rather than simulated into rows that
+        // would be lost.
         if ckpt.write_failed() {
             return;
         }
-        for row in run_chunk(&chunk, dump_dir, ctx) {
-            let Some((row, was_failure)) = row else {
-                continue;
-            };
-            if !ckpt.record(&row) {
-                // Not persisted: the point stays missing. Stop recording
-                // this chunk; the guard above stops the rest of the sweep.
-                return;
-            }
-            let done_now = recorded.fetch_add(1, Ordering::Relaxed) + 1;
-            if was_failure {
-                failed.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(cb) = ctx.and_then(|c| c.progress) {
-                cb(SweepProgress {
-                    done: resumed + done_now,
-                    total,
-                    failed: failed.load(Ordering::Relaxed),
-                });
-            }
+        let Some((row, was_failure)) = run_isolated(p, dump_dir, ctx) else {
+            return;
+        };
+        if !ckpt.record(&row) {
+            // Not persisted: the point stays missing; the guard above stops
+            // the rest of the sweep.
+            return;
+        }
+        let done_now = recorded.fetch_add(1, Ordering::Relaxed) + 1;
+        if was_failure {
+            failed.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(cb) = ctx.and_then(|c| c.progress) {
+            cb(SweepProgress {
+                done: resumed + done_now,
+                total,
+                failed: failed.load(Ordering::Relaxed),
+            });
         }
     });
     let recorded = recorded.load(Ordering::Relaxed);
@@ -1149,7 +973,7 @@ mod tests {
                 noc_store::FaultPlan::default().with_event(1, noc_store::FaultKind::Stuck),
             ));
         let ckpt = Checkpoint::open_with_vfs(&path, vfs).unwrap();
-        let o = run_sweep_with_width(&points, &ckpt, None, &dir, 1);
+        let o = run_sweep(&points, &ckpt, None, &dir);
         assert!(ckpt.write_failed(), "stuck disk must latch write_failed");
         assert_eq!(o.executed + o.interrupted, 2);
         assert!(
@@ -1180,24 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_width_env_is_validated_not_silently_defaulted() {
-        // Validation is pure (no process-global env mutation in tests):
-        // exercise the shared parser with NOC_BATCH_WIDTH's name.
-        let p = |v: Option<&str>| rayon::parse_threads_env("NOC_BATCH_WIDTH", v);
-        assert_eq!(p(None), Ok(None));
-        assert_eq!(p(Some("")), Ok(None));
-        assert_eq!(p(Some("4")), Ok(Some(4)));
-        assert_eq!(p(Some(" 8 ")), Ok(Some(8)));
-        let zero = p(Some("0")).unwrap_err();
-        assert!(zero.contains("NOC_BATCH_WIDTH"), "{zero}");
-        assert!(zero.contains("at least 1"), "{zero}");
-        let junk = p(Some("wide")).unwrap_err();
-        assert!(junk.contains("not a positive integer"), "{junk}");
-        assert!(p(Some("-1")).is_err());
-        assert!(p(Some("2.5")).is_err());
-    }
-
-    #[test]
     fn cancelled_sweep_abandons_missing_points_without_rows() {
         let dir = tmpdir("cancelled");
         let ckpt = Checkpoint::open(&dir.join("c.ckpt.jsonl")).unwrap();
@@ -1212,7 +1018,7 @@ mod tests {
             cancel: &token,
             progress: None,
         };
-        let o = run_sweep_ctx(&points, &ckpt, None, &dir, 1, Some(&ctx));
+        let o = run_sweep_ctx(&points, &ckpt, None, &dir, Some(&ctx));
         assert_eq!(o.executed, 0);
         assert_eq!(o.interrupted, 3);
         assert_eq!(ckpt.rows().len(), 0, "no rows for abandoned points");
@@ -1240,7 +1046,7 @@ mod tests {
             cancel: &token,
             progress: Some(&cb),
         };
-        let o = run_sweep_ctx(&points, &ckpt, None, &dir, 1, Some(&ctx));
+        let o = run_sweep_ctx(&points, &ckpt, None, &dir, Some(&ctx));
         assert_eq!((o.executed, o.interrupted), (2, 0));
         assert_eq!(seen.load(Ordering::Relaxed), 2, "progress saw both rows");
         // An already-expired deadline interrupts a fresh sweep immediately.
@@ -1251,7 +1057,7 @@ mod tests {
             progress: None,
         };
         let ckpt2 = Checkpoint::open(&dir.join("d2.ckpt.jsonl")).unwrap();
-        let o = run_sweep_ctx(&points, &ckpt2, None, &dir, 1, Some(&ctx));
+        let o = run_sweep_ctx(&points, &ckpt2, None, &dir, Some(&ctx));
         assert_eq!((o.executed, o.interrupted), (0, 2));
         assert_eq!(token.reason(), Some(rayon::CancelReason::DeadlineExceeded));
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,9 +9,7 @@
 //!
 //! Environment knobs are validated **eagerly** (exit status 2 on garbage,
 //! matching the experiment binaries): `NOC_THREADS` (worker parallelism
-//! inside a sweep), `NOC_BATCH_WIDTH` (lockstep lanes; precedence:
-//! explicit service width > `NOC_BATCH_WIDTH` > default 4), the
-//! storage-fault knobs `NOC_VFS_FAULT_SCHEDULE` / `NOC_VFS_FAULT_SEED`,
+//! inside a sweep), the storage-fault knobs `NOC_VFS_FAULT_SCHEDULE` / `NOC_VFS_FAULT_SEED`,
 //! and the network-fault knobs `NOC_NET_FAULT_SCHEDULE` /
 //! `NOC_NET_FAULT_SEED` (precedence for both pairs: explicit schedule
 //! events win at their op index, the seed fills the rest; unset means no
@@ -39,20 +37,12 @@ fn usage() -> ! {
 }
 
 fn main() {
-    // Eager environment validation: a garbage NOC_THREADS or
-    // NOC_BATCH_WIDTH is a configuration error at boot, not a panic
-    // mid-job hours later.
+    // Eager environment validation: a garbage NOC_THREADS is a
+    // configuration error at boot, not a panic mid-job hours later.
     if let Err(e) = rayon::env_threads() {
         eprintln!("error: {e}");
         exit(2);
     }
-    let batch_width = match noc_experiments::sweep::env_batch_width() {
-        Ok(w) => w.unwrap_or(4),
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(2);
-        }
-    };
     if let Err(e) = noc_experiments::cli::validate_vfs_env() {
         eprintln!("error: {e}");
         exit(2);
@@ -110,7 +100,6 @@ fn main() {
     opts.queue_cap = queue_cap;
     opts.retry_base_ms = retry_base_ms;
     opts.max_attempts = max_attempts;
-    opts.batch_width = batch_width;
 
     let service = match Service::open(opts) {
         Ok(s) => Arc::new(s),

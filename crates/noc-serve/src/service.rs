@@ -53,9 +53,6 @@ pub struct ServeOpts {
     pub retry_base_ms: u64,
     /// Attempts before a panicking job is quarantined.
     pub max_attempts: u32,
-    /// Lockstep batch width for sweep jobs (resolve `NOC_BATCH_WIDTH`
-    /// before building this — the service never reads the environment).
-    pub batch_width: usize,
 }
 
 impl ServeOpts {
@@ -66,7 +63,6 @@ impl ServeOpts {
             queue_cap: 16,
             retry_base_ms: 50,
             max_attempts: 3,
-            batch_width: 4,
         }
     }
 }
@@ -401,7 +397,7 @@ impl Service {
         let progress = Arc::new(Progress::default());
         progress
             .total
-            .store(spec.to_job(&dir, 1).total_units(), Ordering::Relaxed);
+            .store(spec.to_job(&dir).total_units(), Ordering::Relaxed);
         let entry = Entry {
             spec,
             stage: Stage::Queued,
@@ -637,7 +633,7 @@ fn adopt_one(shared: &Arc<Shared>, dir: &Path, id: &str) -> Result<Option<String
     let progress = Arc::new(Progress::default());
     progress
         .total
-        .store(spec.to_job(dir, 1).total_units(), Ordering::Relaxed);
+        .store(spec.to_job(dir).total_units(), Ordering::Relaxed);
     progress.repaired.store(state_repaired, Ordering::Relaxed);
     // Terminal verdicts survive restarts untouched; everything else counts
     // its journaled rows as done and goes back to work.
@@ -758,7 +754,7 @@ fn run_one(shared: &Arc<Shared>, id: &str) {
     };
     let dumps = dir.join("dumps");
     let _ = shared.vfs.create_dir_all(&dumps);
-    let job = spec.to_job(&dir, shared.opts.batch_width);
+    let job = spec.to_job(&dir);
     let cb = {
         let progress = Arc::clone(&progress);
         move |p: JobProgress| {

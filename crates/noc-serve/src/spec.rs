@@ -283,15 +283,12 @@ impl JobSpec {
 
     /// Instantiates the runnable job, rooted in the job's directory:
     /// `rows.ckpt.jsonl` is the unit journal the resume contract rides on.
-    /// `width` is the service-resolved lockstep batch width (the service
-    /// reads `NOC_BATCH_WIDTH` once, eagerly, at boot).
-    pub fn to_job(&self, job_dir: &std::path::Path, width: usize) -> SimJob {
+    pub fn to_job(&self, job_dir: &std::path::Path) -> SimJob {
         let rows = job_dir.join("rows.ckpt.jsonl");
         match &self.kind {
             SpecKind::Sweep { .. } => SimJob::Sweep {
                 points: self.points(),
                 ckpt: rows,
-                width,
             },
             SpecKind::Chaos { seed, cases, pool } => SimJob::Chaos {
                 seed: *seed,

@@ -110,7 +110,6 @@ fn kill_nine_mid_sweep_resumes_to_identical_rows() {
     let reference = {
         let mut opts = noc_serve::ServeOpts::new(&ref_dir);
         opts.workers = 1;
-        opts.batch_width = 4;
         let service = noc_serve::Service::open(opts).unwrap();
         let row = noc_experiments::jsonio::parse_flat(SPEC).unwrap();
         let (status, _) = service.submit(&row).unwrap();

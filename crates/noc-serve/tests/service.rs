@@ -32,7 +32,6 @@ fn opts(dir: &std::path::Path) -> ServeOpts {
     o.queue_cap = 8;
     o.retry_base_ms = 5;
     o.max_attempts = 3;
-    o.batch_width = 1;
     o
 }
 

@@ -113,6 +113,18 @@ impl<T> Inbox<T> {
         }
     }
 
+    /// Advances the wheel past `now` on a cycle with nothing due — what
+    /// [`Inbox::drain_due_into`] does when the current bucket is empty.
+    /// Hooks-only cycles call this so the wheel's base, and with it every
+    /// later growth decision, matches a stepped run.
+    pub(crate) fn pass(&mut self, now: Cycle) {
+        debug_assert!(
+            self.slots[self.slot_of(now)].iter().all(|&(c, _)| c != now),
+            "passing a cycle with entries due"
+        );
+        self.base = now + 1;
+    }
+
     /// Visits every entry due exactly at `at` (a future cycle); entries for
     /// which `f` returns `Some(new_arrival)` are re-timed to that cycle.
     /// Used by TFC's express bypass, which accelerates in-flight head flits.
@@ -194,6 +206,25 @@ mod tests {
             w.drain_due_into(now, &mut out);
         }
         assert_eq!(out, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pass_matches_draining_an_empty_bucket() {
+        // Same wheel geometry either way, so later pushes grow and iterate
+        // identically.
+        let mut drained: Inbox<u32> = Inbox::new();
+        let mut passed: Inbox<u32> = Inbox::new();
+        let mut out = Vec::new();
+        for now in 0..100 {
+            drained.drain_due_into(now, &mut out);
+            passed.pass(now);
+        }
+        for w in [&mut drained, &mut passed] {
+            w.push(100, 1);
+            w.push(109, 2);
+        }
+        let order = |w: &Inbox<u32>| w.iter().map(|(c, &v)| (c, v)).collect::<Vec<_>>();
+        assert_eq!(order(&drained), order(&passed));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 // `expect` with the invariant spelled out. Unit tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod batch;
 pub mod chaos;
 pub mod fault;
 pub mod inbox;
@@ -37,7 +36,6 @@ pub mod vc;
 pub mod watchdog;
 pub mod workload;
 
-pub use batch::{LockstepBatch, ShapeKey};
 pub use chaos::ChaosState;
 pub use fault::{DeadSet, FaultLayer, RouteMask, Unroutable};
 pub use inbox::Inbox;

@@ -36,18 +36,27 @@ pub trait Mechanism {
     /// *known*
     /// node may instead return `false` and call
     /// [`Network::credit_touch`] itself.
+    ///
+    /// Hooks-only cycles (see [`Mechanism::quiescent`]) refresh the
+    /// snapshots of a `true` mechanism once, in the stretch's final cycle,
+    /// instead of every cycle: its hooks must not read `net.credits` on a
+    /// drained network. A `false` mechanism sees the snapshot exactly as a
+    /// stepped run would.
     fn touches_credits(&self) -> bool {
         true
     }
 
     /// Idle-cycle skipping input: `true` when `pre_cycle` and `post_cycle`
     /// are guaranteed no-ops — no state mutation, no RNG draws — for as
-    /// long as the network itself stays quiet (no buffered flits, no
-    /// in-flight traffic, no pending reservations). The engine only skips
-    /// cycles when every layer reports quiescence, and a skipped cycle runs
-    /// *nothing*, so answering `true` while holding a live timer or probe
-    /// breaks byte-for-byte determinism. The default is the safe `false`,
-    /// which pins the engine to stepping every cycle.
+    /// long as the network itself stays drained (no buffered flit, no link
+    /// reservation, no NIC work). Across a quiet horizon the engine then
+    /// jumps the clock and runs *nothing*, so answering `true` while
+    /// holding a live timer or probe breaks byte-for-byte determinism. The
+    /// default `false` is always safe: the engine then runs hooks-only
+    /// cycles across the horizon — the two hooks plus the end-of-cycle
+    /// bookkeeping, none of the router, injection or consumption phases —
+    /// and falls back to a full step as soon as a hook leaves work in the
+    /// network.
     fn quiescent(&self) -> bool {
         false
     }

@@ -665,6 +665,63 @@ impl Network {
     pub fn quiescent_for(&self) -> u64 {
         self.cycle.saturating_sub(self.last_progress)
     }
+
+    /// Start-of-cycle bookkeeping: measurement restarts at the warmup
+    /// boundary.
+    fn open_cycle(&mut self) {
+        if self.cycle == self.cfg.warmup {
+            self.stats.measure_start = self.cycle;
+        }
+    }
+
+    /// Whether router compute, injection and consumption have nothing to
+    /// act on: no flit buffered in any router input VC (per the occupancy
+    /// counters), an empty link-reservation table, and at every NIC an
+    /// empty injection queue, no half-injected packet and empty ejection
+    /// VCs. Flits in flight on the inboxes and ejection-VC reservations do
+    /// not count; the quiet horizon bounds the former, and the latter only
+    /// gate allocations that cannot happen on an empty network.
+    fn is_drained(&self) -> bool {
+        !self.credits.any_buffered()
+            && self.reservations.is_empty()
+            && self.nics.iter().all(|nic| {
+                nic.backlog() == 0
+                    && nic.inj_active.is_none()
+                    && nic.ejection.iter().all(|e| e.buf.is_empty())
+            })
+    }
+
+    /// `target` cut back to the first cycle on which a layer below the
+    /// workload and the mechanism may act on a drained network: the
+    /// earliest inbox arrival (a delivery), the fault layer's next chaos
+    /// event, and the warmup boundary. Returns the current cycle when the
+    /// recovery layer is busy (a drain in progress or outstanding end-to-end
+    /// state) or the link-retransmission layer holds state.
+    fn quiet_until(&self, target: Cycle) -> Cycle {
+        let now = self.cycle;
+        if self.recovery.as_ref().is_some_and(|r| !r.is_idle()) {
+            return now;
+        }
+        let mut target = target;
+        if let Some(f) = &self.fault {
+            match f.quiet_until() {
+                None => return now,
+                Some(c) => target = target.min(c),
+            }
+        }
+        for c in self.inbox_router.iter().filter_map(Inbox::next_due) {
+            target = target.min(c);
+        }
+        for c in self.inbox_nic.iter().filter_map(Inbox::next_due) {
+            target = target.min(c);
+        }
+        if now < self.cfg.warmup {
+            target = target.min(self.cfg.warmup);
+        }
+        // Horizons are contracts (`>= now`); clamp so a buggy implementor
+        // can only lose the optimization, never rewind the clock.
+        target.max(now)
+    }
 }
 
 /// Which VC an arriving flit belongs to: the VC id written into the flit
@@ -848,22 +905,21 @@ fn decide_router(
 
 /// A complete simulation: network + workload + mechanism, driven cycle by
 /// cycle.
+///
+/// [`Sim::run`] and [`Sim::run_until_done`] skip the work of idle cycles:
+/// across a *quiet horizon* (`Sim::quiet_horizon`) a quiescent mechanism
+/// lets the clock jump, and any other mechanism gets hooks-only cycles
+/// (`Sim::run_hooks_only`). Either way the run is observationally
+/// identical to calling [`Sim::step`] once per cycle: same statistics, same
+/// RNG stream, same [`Network::state_digest`] and mechanism state at every
+/// `run` boundary.
 pub struct Sim {
     pub net: Network,
     pub mech: Box<dyn Mechanism>,
     pub workload: Box<dyn Workload>,
-    /// Idle-cycle skipping: when set, `run` / `run_until_done` fast-forward
-    /// the clock across cycles on which every layer is provably inert (see
-    /// [`Sim::skip_target`]) instead of stepping through them. Off by
-    /// default — the scalar engine then executes the exact historical cycle
-    /// loop. Skipping is observationally invisible (same stats, same RNG
-    /// stream, same final state); the flag exists so the default path stays
-    /// trivially auditable and the property tests have both sides to
-    /// compare.
-    pub idle_skip: bool,
-    /// Cycles the clock jumped over instead of stepping (diagnostic only —
-    /// not part of the simulation state or any digest). Always zero with
-    /// `idle_skip` off.
+    /// Cycles `run` / `run_until_done` did not step in full: cycles the
+    /// clock jumped over plus hooks-only cycles (diagnostic only — not part
+    /// of the simulation state or any digest).
     pub skipped_cycles: u64,
 }
 
@@ -875,24 +931,14 @@ impl Sim {
             net,
             mech,
             workload,
-            idle_skip: false,
             skipped_cycles: 0,
         }
-    }
-
-    /// Builder-style toggle for [`Sim::idle_skip`].
-    #[must_use]
-    pub fn with_idle_skip(mut self, on: bool) -> Sim {
-        self.idle_skip = on;
-        self
     }
 
     /// Advances the simulation by one cycle (all eight phases).
     pub fn step(&mut self) {
         let net = &mut self.net;
-        if net.cycle == net.cfg.warmup {
-            net.stats.measure_start = net.cycle;
-        }
+        net.open_cycle();
         // Dynamic fault schedules reconfigure the topology before anything
         // moves this cycle (no-op without a schedule).
         crate::chaos::tick(net);
@@ -909,17 +955,37 @@ impl Sim {
                 nics[node.idx()].enqueue(pkt);
             });
         }
-        self.mech.pre_cycle(net);
+        self.pre_cycle();
+        self.finish_step();
+    }
+
+    /// Phase 3: the mechanism's `pre_cycle`.
+    fn pre_cycle(&mut self) {
+        self.mech.pre_cycle(&mut self.net);
         if self.mech.touches_credits() {
             // The mechanism may have moved flits in or out of input VCs
             // without the engine seeing it: re-derive the per-router
-            // occupancy counts before they gate router compute.
-            net.recount_buffered();
+            // occupancy counts before they gate router compute (and the
+            // drained check of a hooks-only cycle).
+            self.net.recount_buffered();
         }
+    }
+
+    /// Phases 4–8: everything a cycle runs after `pre_cycle`.
+    fn finish_step(&mut self) {
+        let net = &mut self.net;
         net.refresh_downfree();
         net.compute_routers();
         net.compute_injection();
         net.consume(self.workload.as_mut());
+        self.end_cycle(true);
+    }
+
+    /// Phase 8 and the end-of-cycle bookkeeping, shared by stepped and
+    /// hooks-only cycles. `recount` is false only when a hooks-only stretch
+    /// defers the occupancy recount after `post_cycle`.
+    fn end_cycle(&mut self, recount: bool) {
+        let net = &mut self.net;
         self.mech.post_cycle(net);
         if self.mech.touches_credits() {
             // The mechanism may have mutated buffers, claims or ejection
@@ -928,7 +994,9 @@ impl Sim {
             // refresh happens in between); mechanisms that only observe, or
             // only touch inbox timing, opt out via `touches_credits`.
             net.credit_mark_all();
-            net.recount_buffered();
+            if recount {
+                net.recount_buffered();
+            }
         }
         if net.recovery.is_some() {
             // Runtime recovery observes the same end-of-cycle state the
@@ -942,37 +1010,26 @@ impl Sim {
         net.cycle += 1;
     }
 
-    /// The furthest cycle the clock may jump to right now without changing
-    /// any observable behaviour, at most `end`. Returns the current cycle
-    /// when skipping is unsound — some layer does (or may do) real work on
-    /// the very next cycle.
+    /// The end of the quiet horizon: the furthest cycle, at most `end`,
+    /// before which every layer except the mechanism is provably inert.
+    /// Returns the current cycle when some layer has work on it.
     ///
-    /// A cycle is skippable iff `step` at that cycle would be a pure
-    /// `cycle += 1`: no flit moves, no queue drains, no timer fires, no RNG
-    /// byte is drawn. That requires *all* of:
+    /// On a cycle inside the horizon, `step` would deliver nothing,
+    /// generate nothing and find nothing to route, inject or consume; only
+    /// the mechanism's hooks can act. That requires *all* of:
     ///
-    /// * a quiescent mechanism (its pre/post hooks are no-ops on a quiet
-    ///   network — [`Mechanism::quiescent`]),
-    /// * an idle recovery layer (no drain in progress, empty outstanding
-    ///   table) and an idle fault layer (no retransmission state; chaos
-    ///   bounded by its next schedule event),
-    /// * a fully drained network: zero buffered flits, no reservations, and
-    ///   every NIC with an empty injection queue, no half-injected packet
-    ///   and empty ejection VCs (the compute/consume phases are then
-    ///   guaranteed no-ops),
-    /// * in-flight flits only as far as their wheel horizon: the jump stops
-    ///   at the earliest `next_due` over all inboxes,
     /// * the workload quiet until its own declared horizon
     ///   ([`Workload::next_activity`]; the conservative default pins the
-    ///   clock), and
-    /// * not crossing the warmup boundary, where measurement resets.
-    pub(crate) fn skip_target(&self, end: Cycle) -> Cycle {
+    ///   clock),
+    /// * a drained network ([`Network::is_drained`]), and
+    /// * the layer horizon of [`Network::quiet_until`]: idle recovery and
+    ///   fault layers, no inbox arrival due, and not crossing the warmup
+    ///   boundary, where measurement resets.
+    fn quiet_horizon(&self, end: Cycle) -> Cycle {
         let net = &self.net;
         let now = net.cycle;
-        // The target is a min over horizons with vetoes contributing `now`,
-        // so evaluation order is free to put the cheap, commonly-pinning
-        // checks first — this runs on every cycle skipping fails, and that
-        // overhead is what the batched bench pays during busy windows.
+        // A min over horizons with vetoes contributing `now`: the cheap
+        // checks that pin the clock on busy cycles go first.
         let mut target = end;
         if let Some(c) = self.workload.next_activity(now) {
             if c <= now {
@@ -980,65 +1037,95 @@ impl Sim {
             }
             target = target.min(c);
         }
-        // Layers that may act every cycle veto skipping outright.
-        if !self.mech.quiescent() {
+        if !net.is_drained() {
             return now;
         }
-        if net.recovery.as_ref().is_some_and(|r| !r.is_idle()) {
-            return now;
-        }
-        if net.credits.total_buffered() != 0 || !net.reservations.is_empty() {
-            return now;
-        }
-        if net.nics.iter().any(|nic| {
-            nic.backlog() != 0
-                || nic.inj_active.is_some()
-                || nic.ejection.iter().any(|e| !e.buf.is_empty())
-        }) {
-            return now;
-        }
-        if let Some(fl) = &net.fault {
-            match fl.quiet_until() {
-                None => return now,
-                Some(c) => target = target.min(c),
-            }
-        }
-        for ib in &net.inbox_router {
-            if let Some(c) = ib.next_due() {
-                target = target.min(c);
-            }
-        }
-        for ib in &net.inbox_nic {
-            if let Some(c) = ib.next_due() {
-                target = target.min(c);
-            }
-        }
-        if now < net.cfg.warmup {
-            target = target.min(net.cfg.warmup);
-        }
-        // Horizons are contracts (`>= now`); clamp so a buggy implementor
-        // can only lose the optimization, never rewind the clock.
-        target.max(now)
+        net.quiet_until(target)
     }
 
-    /// Fast-forwards the clock to [`Sim::skip_target`] when idle skipping
-    /// is enabled. `last_progress` is deliberately untouched: skipped
-    /// cycles are idle by proof, exactly as if they had been stepped.
-    pub(crate) fn maybe_skip(&mut self, end: Cycle) {
-        if !self.idle_skip {
-            return;
-        }
-        let target = self.skip_target(end);
-        if target > self.net.cycle {
+    /// Advances the clock by at least one cycle and at most to `end`: a
+    /// full step when some layer has work now; otherwise a jump to the
+    /// quiet horizon for a quiescent mechanism, or hooks-only cycles
+    /// towards it for any other.
+    fn advance(&mut self, end: Cycle) {
+        let horizon = self.quiet_horizon(end);
+        if horizon == self.net.cycle {
+            self.step();
+        } else if self.mech.quiescent() {
             // Fold the derived credit caches forward before jumping. On the
             // skipped cycles a stepping run would refresh each dirty
             // router's credit snapshot exactly once and then find nothing
             // further to do (the network is inert by proof); one refresh
             // here reproduces that fixpoint, so snapshots and state digests
-            // taken right after the jump match the stepped run bit for bit.
+            // taken right after the jump match the stepped run bit for bit
+            // (plus the blanket invalidation a `touches_credits` mechanism
+            // ends every stepped cycle with). `last_progress` is
+            // deliberately untouched: skipped cycles are idle by proof,
+            // exactly as if they had been stepped.
             self.net.refresh_downfree();
-            self.skipped_cycles += target - self.net.cycle;
-            self.net.cycle = target;
+            if self.mech.touches_credits() {
+                self.net.credit_mark_all();
+            }
+            self.skipped_cycles += horizon - self.net.cycle;
+            self.net.cycle = horizon;
+        } else {
+            self.run_hooks_only(horizon);
+        }
+    }
+
+    /// Runs the cycles before `horizon` (a quiet horizon) as hooks-only
+    /// cycles: `pre_cycle`, then — while the network stays drained —
+    /// `post_cycle` and the end-of-cycle bookkeeping. Delivery, generation,
+    /// router compute, injection and consumption are skipped: inside the
+    /// horizon they provably do nothing. Exact for any mechanism that keeps
+    /// the [`Mechanism::touches_credits`] contract:
+    ///
+    /// * a `pre_cycle` that leaves work in the network (after the
+    ///   `touches_credits` recount, so untracked moves count) finishes its
+    ///   cycle as a full step and ends the stretch;
+    /// * after every cycle the layer horizon is re-derived, so arrivals the
+    ///   hooks scheduled, or a recovery layer they woke, cut it short;
+    ///   `post_cycle` work is caught by the next cycle's drained check;
+    /// * credit snapshots: routers dirtied by non-`touches_credits`
+    ///   mechanisms are refreshed every cycle, as stepping does (a scan of
+    ///   dirty bits); under `touches_credits` every snapshot is dirty at
+    ///   every cycle boundary anyway, so only the stretch's final cycle
+    ///   refreshes, which leaves the snapshot and dirty bits a stepped run
+    ///   would leave at the `run` boundary;
+    /// * occupancy counts: under `touches_credits` a stepped cycle
+    ///   recounts after both hooks. Here the recount after `pre_cycle`
+    ///   stays (it feeds the drained check), while the one after
+    ///   `post_cycle` is deferred to the stretch's end unless the recovery
+    ///   or invariant layer reads the counts in between: the next cycle's
+    ///   recount after `pre_cycle` covers everything else.
+    fn run_hooks_only(&mut self, mut horizon: Cycle) {
+        let touches = self.mech.touches_credits();
+        let recount = self.net.recovery.is_some() || cfg!(feature = "check-invariants");
+        while self.net.cycle < horizon {
+            let net = &mut self.net;
+            let now = net.cycle;
+            net.open_cycle();
+            // Phases 1–2 with nothing due and nothing to generate.
+            for ib in &mut net.inbox_router {
+                ib.pass(now);
+            }
+            for ib in &mut net.inbox_nic {
+                ib.pass(now);
+            }
+            self.pre_cycle();
+            if !self.net.is_drained() {
+                self.finish_step();
+                return;
+            }
+            if !touches || now + 1 == horizon {
+                self.net.refresh_downfree();
+            }
+            self.end_cycle(recount);
+            self.skipped_cycles += 1;
+            horizon = self.net.quiet_until(horizon);
+        }
+        if touches && !recount {
+            self.net.recount_buffered();
         }
     }
 
@@ -1046,31 +1133,23 @@ impl Sim {
     pub fn run(&mut self, cycles: u64) {
         let end = self.net.cycle + cycles;
         while self.net.cycle < end {
-            self.maybe_skip(end);
-            if self.net.cycle >= end {
-                break;
-            }
-            self.step();
+            self.advance(end);
         }
     }
 
     /// Runs until the workload reports completion or `max_cycles` elapse.
     /// Returns `true` if the workload finished.
     ///
-    /// With idle skipping enabled, jumped cycles cannot flip `finished`:
-    /// the workload's state is untouched on cycles its own `next_activity`
-    /// horizon declared inert, so the answer is constant across the jump.
+    /// Quiet stretches cannot flip `finished`: the workload's state is
+    /// untouched on cycles its own `next_activity` horizon declared inert,
+    /// so the answer is constant across them.
     pub fn run_until_done(&mut self, max_cycles: u64) -> bool {
         let end = self.net.cycle + max_cycles;
         while self.net.cycle < end {
             if self.workload.finished() == Some(true) {
                 return true;
             }
-            self.maybe_skip(end);
-            if self.net.cycle >= end {
-                break;
-            }
-            self.step();
+            self.advance(end);
         }
         self.workload.finished() == Some(true)
     }
@@ -1111,7 +1190,7 @@ impl NocModel for Sim {
 
     fn run_for(&mut self, cycles: u64) {
         // Route through `run` so idle-cycle skipping applies to
-        // harness-driven slices too (a no-op when `idle_skip` is off).
+        // harness-driven slices too.
         self.run(cycles);
     }
 

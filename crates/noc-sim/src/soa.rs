@@ -137,9 +137,10 @@ impl CreditSoA {
         self.occupancy[s..s + NUM_PORTS].iter().any(|&o| o != 0)
     }
 
-    /// Total flits buffered across every router (idle-skip quiescence).
-    pub fn total_buffered(&self) -> u64 {
-        self.occupancy.iter().map(|&o| u64::from(o)).sum()
+    /// Whether any router buffers a flit (idle-skip quiescence). A
+    /// branch-free OR over the counters, so it vectorizes.
+    pub fn any_buffered(&self) -> bool {
+        self.occupancy.iter().fold(0, |acc, &o| acc | o) != 0
     }
 
     pub fn occ_add(&mut self, r: usize, p: PortId, d: u16) {
@@ -376,7 +377,7 @@ mod tests {
         soa.occ_add(2, 1, 3);
         assert!(soa.router_busy(2));
         assert_eq!(soa.occ(2, 1), 3);
-        assert_eq!(soa.total_buffered(), 3);
+        assert!(soa.any_buffered());
         soa.occ_sub(2, 1, 3);
         assert!(!soa.router_busy(2));
     }

@@ -24,8 +24,9 @@ struct MSeeker {
     ej_vc: usize,
     /// Router the seeker currently sits on.
     pos: NodeId,
-    /// Remaining walk (next router first).
+    /// The whole walk; `walk[next..]` remains (next router first).
     walk: Vec<NodeId>,
+    next: usize,
     /// Column being searched.
     col: u8,
     /// Whether this seeker also searches NIC injection queues (footnote 2).
@@ -66,6 +67,8 @@ pub struct MSeecMechanism {
     engines: Vec<Engine>,
     /// Per (nic, class): pending proactive reservation after a missed turn.
     pending_reserve: Vec<bool>,
+    /// Set entries of `pending_reserve`, so an idle cycle skips the scan.
+    pending: usize,
     pub ff_ejections: u64,
     pub empty_seeks: u64,
 }
@@ -89,6 +92,7 @@ impl MSeecMechanism {
             step: 0,
             engines,
             pending_reserve: vec![false; cols as usize * rows as usize * classes as usize],
+            pending: 0,
             ff_ejections: 0,
             empty_seeks: 0,
         }
@@ -125,6 +129,9 @@ impl MSeecMechanism {
     }
 
     fn serve_pending(&mut self, net: &mut Network) {
+        if self.pending == 0 {
+            return;
+        }
         for nic in 0..net.nics.len() {
             for class in 0..self.classes {
                 let slot = self.slot(nic, class);
@@ -136,6 +143,7 @@ impl MSeecMechanism {
                 if let Some(i) = net.nics[nic].free_ejection_vc(MessageClass(class), claims) {
                     net.nics[nic].ejection[i].reserve = EjReserve::Held;
                     self.pending_reserve[slot] = false;
+                    self.pending -= 1;
                 }
             }
         }
@@ -261,13 +269,17 @@ impl Mechanism for MSeecMechanism {
                                 ej_vc,
                                 pos: origin,
                                 walk,
+                                next: 0,
                                 col,
                                 search_queues,
                             })
                         }
                         None => {
                             let slot = self.slot(origin.idx(), class.0);
-                            self.pending_reserve[slot] = true;
+                            if !self.pending_reserve[slot] {
+                                self.pending_reserve[slot] = true;
+                                self.pending += 1;
+                            }
                             // Missed turn for this class: next class (or done).
                             self.engines[e].class_cursor += 1;
                             if self.engines[e].class_cursor == classes {
@@ -322,7 +334,7 @@ impl Mechanism for MSeecMechanism {
                             EngState::Streaming(stream)
                         }
                         None => {
-                            if s.walk.is_empty() {
+                            if s.next == s.walk.len() {
                                 // Walk exhausted: release and next class.
                                 let vc = &mut net.nics[s.origin.idx()].ejection[s.ej_vc];
                                 debug_assert_eq!(vc.reserve, EjReserve::Held);
@@ -335,7 +347,8 @@ impl Mechanism for MSeecMechanism {
                                     EngState::StartClass
                                 }
                             } else {
-                                s.pos = s.walk.remove(0);
+                                s.pos = s.walk[s.next];
+                                s.next += 1;
                                 EngState::Seeking(s)
                             }
                         }
@@ -402,7 +415,7 @@ impl Mechanism for MSeecMechanism {
                         s.origin.0,
                         s.class.0,
                         s.pos.0,
-                        s.walk.len()
+                        s.walk.len() - s.next
                     ),
                     EngState::Flying(f) => {
                         format!("flying depart={} links={}", f.depart(), f.links().len())
@@ -419,7 +432,7 @@ impl Mechanism for MSeecMechanism {
             self.step,
             self.ff_ejections,
             self.empty_seeks,
-            self.pending_reserve.iter().filter(|&&b| b).count(),
+            self.pending,
             engines.join("; ")
         )
     }

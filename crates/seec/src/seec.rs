@@ -77,6 +77,8 @@ pub struct SeecMechanism {
     /// Per (nic, class): the class missed its turn and proactively reserves
     /// the next free ejection VC (§3.3).
     pending_reserve: Vec<bool>,
+    /// Set entries of `pending_reserve`, so an idle cycle skips the scan.
+    pending: usize,
     classes: usize,
     /// Diagnostics: completed FF ejections.
     pub ff_ejections: u64,
@@ -98,6 +100,7 @@ impl SeecMechanism {
             },
             search_start: vec![0; n * classes as usize],
             pending_reserve: vec![false; n * classes as usize],
+            pending: 0,
             classes: classes as usize,
             ff_ejections: 0,
             empty_seeks: 0,
@@ -111,6 +114,18 @@ impl SeecMechanism {
 
     fn slot(&self, nic: usize, class: u8) -> usize {
         nic * self.classes + class as usize
+    }
+
+    /// Sets or clears the proactive reservation of `slot`.
+    fn set_pending(&mut self, slot: usize, on: bool) {
+        if self.pending_reserve[slot] != on {
+            self.pending_reserve[slot] = on;
+            if on {
+                self.pending += 1;
+            } else {
+                self.pending -= 1;
+            }
+        }
     }
 
     /// Moves the token to the next (class, then NIC) position.
@@ -148,10 +163,10 @@ impl SeecMechanism {
         };
         let Some(ej_vc) = ej_vc else {
             // Missed turn: proactively reserve when one frees up.
-            self.pending_reserve[slot] = true;
+            self.set_pending(slot, true);
             return None;
         };
-        self.pending_reserve[slot] = false;
+        self.set_pending(slot, false);
         let origin_pos = self.ring.position_of(nic_id);
         let start = self.search_start[slot];
         // Transit (without searching) from the origin to the round-robin
@@ -172,6 +187,9 @@ impl SeecMechanism {
     /// Serves any `pending_reserve` classes whose NIC now has a free VC
     /// (the proactive reservation of §3.3).
     fn serve_pending(&mut self, net: &mut Network) {
+        if self.pending == 0 {
+            return;
+        }
         for nic in 0..net.nics.len() {
             for class in 0..self.classes as u8 {
                 let slot = self.slot(nic, class);
@@ -182,7 +200,7 @@ impl SeecMechanism {
                     &net.routers[nic].outputs[noc_types::Direction::Local.index()].vc_claimed;
                 if let Some(i) = net.nics[nic].free_ejection_vc(MessageClass(class), claims) {
                     net.nics[nic].ejection[i].reserve = EjReserve::Held;
-                    self.pending_reserve[slot] = false;
+                    self.set_pending(slot, false);
                 }
             }
         }
@@ -398,11 +416,7 @@ impl Mechanism for SeecMechanism {
         format!(
             "seec token=(nic {}, class {}) state=[{state}] ff_ejections={} empty_seeks={} \
              pending_reserves={}",
-            self.token.nic,
-            self.token.class,
-            self.ff_ejections,
-            self.empty_seeks,
-            self.pending_reserve.iter().filter(|&&b| b).count()
+            self.token.nic, self.token.class, self.ff_ejections, self.empty_seeks, self.pending
         )
     }
 }
