@@ -167,6 +167,12 @@ impl Mechanism for DrainMechanism {
         SchemeKind::Drain
     }
 
+    /// DRAIN shifts packets only through `drain_packet` / `install_packet`,
+    /// which mark exactly the snapshot lanes they change.
+    fn touches_credits(&self) -> bool {
+        false
+    }
+
     fn pre_cycle(&mut self, net: &mut Network) {
         let now = net.cycle;
         if now == 0 || !now.is_multiple_of(self.period) {

@@ -203,6 +203,12 @@ impl Mechanism for SpinMechanism {
         SchemeKind::Spin
     }
 
+    /// SPIN moves packets only through `drain_packet` / `install_packet` and
+    /// reserves link slots; the helpers mark exactly the lanes they change.
+    fn touches_credits(&self) -> bool {
+        false
+    }
+
     fn pre_cycle(&mut self, net: &mut Network) {
         let now = net.cycle;
         match std::mem::replace(&mut self.state, ProbeState::Idle) {

@@ -16,6 +16,10 @@
 // `expect` with the invariant spelled out. Unit tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+/// Whether the end-of-cycle invariant sweep (`check-invariants` feature) is
+/// compiled in; see [`Network::assert_invariants_clean`].
+pub const CHECKS_INVARIANTS: bool = cfg!(feature = "check-invariants");
+
 pub mod chaos;
 pub mod fault;
 pub mod inbox;

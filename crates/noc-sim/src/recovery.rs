@@ -251,9 +251,8 @@ impl RecoveryState {
             return;
         };
         for f in d.flits {
-            net.nics[dest].receive(ej, f);
+            net.nic_receive(d.dest, ej, f);
         }
-        net.credit_touch(dest);
         net.last_progress = now;
     }
 

@@ -95,17 +95,20 @@ impl Network {
         self.recount_buffered();
     }
 
-    /// Stable 64-bit digest of the observable engine state (everything a
-    /// snapshot captures except the RNG). Two runs that restore the same
-    /// snapshot and step identically produce identical digests; divergence
-    /// pinpoints the first cycle at which determinism broke.
+    /// Stable 64-bit digest of the simulation state: routers, NICs, both
+    /// inbox wheels, link reservations, the cycle and `last_progress`. The
+    /// RNG and the derived caches of [`CreditSoA`] (snapshot lanes, dirty
+    /// bits, parked flags, occupancy counters) are left out, so a change to
+    /// cache bookkeeping alone never moves the digest; the invariant layer
+    /// checks the caches against the state instead. Two runs that restore
+    /// the same snapshot and step identically produce identical digests;
+    /// divergence pinpoints the first cycle at which determinism broke.
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = write!(s, "c={};lp={};", self.cycle, self.last_progress);
         let _ = write!(s, "r={:?};", self.routers);
         let _ = write!(s, "n={:?};", self.nics);
-        let _ = write!(s, "d={:?};", self.credits);
         for ib in &self.inbox_router {
             for (at, item) in ib.iter() {
                 let _ = write!(s, "ir={at}:{item:?};");

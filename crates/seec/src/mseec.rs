@@ -141,7 +141,7 @@ impl MSeecMechanism {
                 let claims =
                     &net.routers[nic].outputs[noc_types::Direction::Local.index()].vc_claimed;
                 if let Some(i) = net.nics[nic].free_ejection_vc(MessageClass(class), claims) {
-                    net.nics[nic].ejection[i].reserve = EjReserve::Held;
+                    net.set_ej_reserve(NodeId(nic as u16), i, EjReserve::Held);
                     self.pending_reserve[slot] = false;
                     self.pending -= 1;
                 }
@@ -240,7 +240,7 @@ impl Mechanism for MSeecMechanism {
                     // Reserve an ejection VC (or adopt a Held one).
                     let per = net.cfg.ejection_vcs_per_class as usize;
                     let base = class.idx() * per;
-                    let nic = &mut net.nics[origin.idx()];
+                    let nic = &net.nics[origin.idx()];
                     let held =
                         (base..base + per).find(|&i| nic.ejection[i].reserve == EjReserve::Held);
                     let ej_vc = match held {
@@ -251,7 +251,7 @@ impl Mechanism for MSeecMechanism {
                             .vc_claimed;
                             let free = nic.free_ejection_vc(class, claims);
                             if let Some(i) = free {
-                                nic.ejection[i].reserve = EjReserve::Held;
+                                net.set_ej_reserve(origin, i, EjReserve::Held);
                             }
                             free
                         }
@@ -309,8 +309,7 @@ impl Mechanism for MSeecMechanism {
                     };
                     match found {
                         Some(MFound::Batch(flits)) => {
-                            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve =
-                                EjReserve::For(flits[0].packet);
+                            net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::For(flits[0].packet));
                             let flight = FfFlight::plan(
                                 net,
                                 flits,
@@ -327,8 +326,7 @@ impl Mechanism for MSeecMechanism {
                                 .front()
                                 .expect("streamed VC holds the matched packet")
                                 .packet;
-                            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve =
-                                EjReserve::For(pkt);
+                            net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::For(pkt));
                             let stream =
                                 FfStream::begin(net, cur, port, vc, s.origin, s.ej_vc, now, true);
                             EngState::Streaming(stream)
@@ -336,9 +334,11 @@ impl Mechanism for MSeecMechanism {
                         None => {
                             if s.next == s.walk.len() {
                                 // Walk exhausted: release and next class.
-                                let vc = &mut net.nics[s.origin.idx()].ejection[s.ej_vc];
-                                debug_assert_eq!(vc.reserve, EjReserve::Held);
-                                vc.reserve = EjReserve::Free;
+                                debug_assert_eq!(
+                                    net.nics[s.origin.idx()].ejection[s.ej_vc].reserve,
+                                    EjReserve::Held
+                                );
+                                net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::Free);
                                 self.empty_seeks += 1;
                                 self.engines[e].class_cursor += 1;
                                 if self.engines[e].class_cursor == classes {
@@ -401,6 +401,12 @@ impl Mechanism for MSeecMechanism {
                 e.class_cursor = 0;
             }
         }
+    }
+
+    /// Like SEEC, mSEEC mutates the network only through the `Network`
+    /// helpers, which mark exactly the snapshot lanes they change.
+    fn touches_credits(&self) -> bool {
+        false
     }
 
     fn debug_state(&self) -> String {

@@ -146,7 +146,7 @@ impl SeecMechanism {
         // An earlier missed turn may have pre-reserved a VC (Held).
         let per = net.cfg.ejection_vcs_per_class as usize;
         let base = class.idx() * per;
-        let nic = &mut net.nics[self.token.nic];
+        let nic = &net.nics[self.token.nic];
         let held = (base..base + per).find(|&i| nic.ejection[i].reserve == EjReserve::Held);
         let ej_vc = match held {
             Some(i) => Some(i),
@@ -156,7 +156,7 @@ impl SeecMechanism {
                 .vc_claimed;
                 let free = nic.free_ejection_vc(class, claims);
                 if let Some(i) = free {
-                    nic.ejection[i].reserve = EjReserve::Held;
+                    net.set_ej_reserve(nic_id, i, EjReserve::Held);
                 }
                 free
             }
@@ -199,7 +199,7 @@ impl SeecMechanism {
                 let claims =
                     &net.routers[nic].outputs[noc_types::Direction::Local.index()].vc_claimed;
                 if let Some(i) = net.nics[nic].free_ejection_vc(MessageClass(class), claims) {
-                    net.nics[nic].ejection[i].reserve = EjReserve::Held;
+                    net.set_ej_reserve(NodeId(nic as u16), i, EjReserve::Held);
                     self.set_pending(slot, false);
                 }
             }
@@ -260,9 +260,11 @@ impl SeecMechanism {
 
     /// Releases the seeker's reservation after an empty-handed return.
     fn release_reservation(net: &mut Network, s: &Seeker) {
-        let vc = &mut net.nics[s.origin.idx()].ejection[s.ej_vc];
-        debug_assert_eq!(vc.reserve, EjReserve::Held);
-        vc.reserve = EjReserve::Free;
+        debug_assert_eq!(
+            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve,
+            EjReserve::Held
+        );
+        net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::Free);
     }
 
     /// Column-first flights are the mSEEC discipline; base SEEC flies XY.
@@ -334,8 +336,7 @@ impl Mechanism for SeecMechanism {
                         Found::Batch(flits, found_at) => {
                             self.search_start[slot] =
                                 (self.ring.position_of(found_at) + 1) % self.ring.len();
-                            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve =
-                                EjReserve::For(flits[0].packet);
+                            net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::For(flits[0].packet));
                             let flight = FfFlight::plan(
                                 net,
                                 flits,
@@ -354,8 +355,7 @@ impl Mechanism for SeecMechanism {
                                 .front()
                                 .expect("streamed VC holds the matched packet")
                                 .packet;
-                            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve =
-                                EjReserve::For(pkt);
+                            net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::For(pkt));
                             let stream = FfStream::begin(
                                 net,
                                 node,
@@ -399,6 +399,13 @@ impl Mechanism for SeecMechanism {
                 }
             }
         }
+    }
+
+    /// SEEC mutates the network only through the `Network` helpers
+    /// (`drain_packet`, `set_ej_reserve`, `nic_receive`, `take_captured`),
+    /// which mark exactly the snapshot lanes they change.
+    fn touches_credits(&self) -> bool {
+        false
     }
 
     fn debug_state(&self) -> String {
