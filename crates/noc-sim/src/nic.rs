@@ -70,8 +70,12 @@ pub struct Nic {
     /// In-progress multi-flit injection, if any.
     pub inj_active: Option<InjProgress>,
     /// Claims on the router's local input VCs (this NIC is their upstream).
-    /// `Some(p)` from allocation until `p`'s tail flit has been sent.
+    /// `Some(p)` from allocation until `p`'s tail flit has arrived.
     pub local_claims: Vec<Option<PacketId>>,
+    /// Flits on the injection link toward each local input VC that have
+    /// not arrived yet (wormhole flit-credit accounting, the NIC-side
+    /// counterpart of `OutputPort::inflight`).
+    pub local_inflight: Vec<u8>,
     /// Ejection VCs, flattened `classes * ejection_vcs_per_class`.
     pub ejection: Vec<EjVc>,
     ej_per_class: usize,
@@ -87,6 +91,7 @@ impl Nic {
             inj_rr: 0,
             inj_active: None,
             local_claims: vec![None; cfg.vcs_per_port()],
+            local_inflight: vec![0; cfg.vcs_per_port()],
             ejection: vec![EjVc::default(); classes * ej_per_class],
             ej_per_class,
         }
