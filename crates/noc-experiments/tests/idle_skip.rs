@@ -11,8 +11,9 @@
 //! armed, steady synthetic traffic (whose conservative `next_activity` pins
 //! the clock — the veto path), test mechanisms whose hooks make work on a
 //! drained network (the fallback to a full step), and test mechanisms that
-//! pin the credit-cache fix-up (one reads the snapshot in its hooks, one is
-//! quiescent but keeps the `touches_credits` default).
+//! pin the credit caches (one reads the snapshot in its hooks; one is
+//! quiescent but keeps the `touches_credits` default, as do the
+//! `touches=true` injectors, so both exercise that fallback).
 
 use noc_experiments::runner::Scheme;
 use noc_sim::{Mechanism, Network, NoMechanism, Sim};

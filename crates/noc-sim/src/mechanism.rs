@@ -1,10 +1,22 @@
 //! The mechanism SPI: how deadlock-freedom / flow-control schemes plug into
 //! the simulation loop.
 //!
-//! A mechanism runs twice per cycle around the routers' compute phase. It may
-//! mutate the network freely through the public fields and the forced-move
-//! helpers on [`crate::network::Network`]: drain packets out of VCs, install
-//! them elsewhere, reserve ejection VCs and link slots, and feed statistics.
+//! A mechanism runs twice per cycle around the routers' compute phase. It
+//! reads the network through its public fields and mutates it through the
+//! helpers on [`crate::network::Network`]: drain packets out of VCs
+//! ([`Network::drain_packet`]), install them elsewhere
+//! ([`Network::install_packet`]), pop Free-Flow-captured flits
+//! ([`Network::take_captured`]), set ejection-VC reservations
+//! ([`Network::set_ej_reserve`]), deliver into ejection VCs
+//! ([`Network::nic_receive`]), reserve link slots, and feed statistics.
+//!
+//! **The contract:** input-VC buffers, output claims, in-flight counts and
+//! NIC ejection VCs change only through those helpers (or, for a known
+//! node, followed by [`Network::credit_touch`]). Each helper keeps the
+//! per-port occupancy counters exact and marks exactly the credit-snapshot
+//! lanes its mutation changes; the engine's snapshot refresh and the
+//! parking of stalled routers rely on it. A mechanism that writes those
+//! fields directly must answer [`Mechanism::touches_credits`] with `true`.
 
 use crate::network::Network;
 use noc_types::{PacketId, SchemeKind};
@@ -26,22 +38,15 @@ pub trait Mechanism {
         let _ = net;
     }
 
-    /// Whether this mechanism mutates state the per-router credit snapshot
-    /// reads: input-VC occupancy, output claims, wormhole in-flight counts,
-    /// or NIC ejection VCs / reservations. When `true` (the conservative
-    /// default) the engine invalidates every router's snapshot each cycle;
-    /// mechanisms that only observe, or only touch in-flight timing, return
-    /// `false` to keep the dirty-tracking fast path (the engine then
-    /// refreshes only routers marked dirty). A mechanism that mutates a
-    /// *known*
-    /// node may instead return `false` and call
-    /// [`Network::credit_touch`] itself.
-    ///
-    /// Hooks-only cycles (see [`Mechanism::quiescent`]) refresh the
-    /// snapshots of a `true` mechanism once, in the stretch's final cycle,
-    /// instead of every cycle: its hooks must not read `net.credits` on a
-    /// drained network. A `false` mechanism sees the snapshot exactly as a
-    /// stepped run would.
+    /// Whether this mechanism mutates state the credit snapshot or the
+    /// occupancy counters read — input-VC buffers, output claims, wormhole
+    /// in-flight counts, NIC ejection VCs or reservations — *outside* the
+    /// `Network` helpers (see the module docs). When `true` (the
+    /// conservative default) the engine recounts the occupancy counters
+    /// after each hook and invalidates every snapshot lane each cycle, which
+    /// also wakes every parked router. Every in-tree mechanism keeps the
+    /// contract and returns `false`, so the engine refreshes only the lanes
+    /// the helpers marked; the `true` path is the fallback for others.
     fn touches_credits(&self) -> bool {
         true
     }
